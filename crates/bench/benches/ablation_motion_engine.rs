@@ -18,8 +18,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use euphrates_bench::textured_luma;
 use euphrates_common::geom::Vec2i;
 use euphrates_common::image::{downsample2, LumaFrame};
+use euphrates_common::par::parallel_map;
 use euphrates_core::prelude::*;
-use euphrates_core::{frame_source, parallel_map, run_stream};
+use euphrates_core::{frame_source, run_stream};
 use euphrates_isp::motion::{BlockMatcher, MotionField, MotionVector};
 use euphrates_nn::oracle::calib;
 use std::hint::black_box;
@@ -227,7 +228,7 @@ fn bench_sad_kernel(c: &mut Criterion) {
         });
     }
     let tss = BlockMatcher::new(16, 7, SearchStrategy::ThreeStep).unwrap();
-    let threads = euphrates_core::eval::default_threads();
+    let threads = euphrates_common::par::default_threads();
     g.bench_function("three-step-parallel", |b| {
         b.iter(|| black_box(tss.estimate_parallel(&cur, &prev, threads).unwrap()))
     });
@@ -481,7 +482,7 @@ fn new_grid_path(
 
 fn bench_grid_vs_per_sequence(c: &mut Criterion) {
     let (suite, motion, schemes) = multi_scheme_scenario();
-    let threads = euphrates_core::eval::default_threads();
+    let threads = euphrates_common::par::default_threads();
     let mut g = c.benchmark_group("evaluate_multi_scheme");
     g.sample_size(3);
     g.bench_function("old_per_sequence", |b| {

@@ -28,7 +28,7 @@ fn bench_block_matching(c: &mut Criterion) {
         });
     }
     let tss = BlockMatcher::new(16, 7, SearchStrategy::ThreeStep).unwrap();
-    let threads = euphrates_core::eval::default_threads();
+    let threads = euphrates_common::par::default_threads();
     g.bench_function("three-step-parallel", |b| {
         b.iter(|| black_box(tss.estimate_parallel(&cur, &prev, threads).unwrap()))
     });

@@ -1,7 +1,9 @@
 //! # euphrates-bench
 //!
 //! The experiment harness: one bench target per table/figure of the
-//! Euphrates paper, plus the ablations called out in `DESIGN.md`.
+//! Euphrates paper, plus `ablation_*` targets that isolate one design
+//! choice each (adaptive policy, algorithm pieces, double buffering,
+//! motion engine, render path, systolic batching).
 //!
 //! Run everything with `cargo bench`, or a single experiment with
 //! `cargo bench -p euphrates-bench --bench fig09a_detection_precision`.
@@ -13,7 +15,7 @@
 //! default, [`DEFAULT_SCALE`], keeps the full `cargo bench` suite around
 //! ten minutes; `EUPHRATES_SCALE=1.0` reproduces the paper-sized datasets
 //! (~76k frames). Worker-thread count follows `EUPHRATES_THREADS` (see
-//! `euphrates_core::eval::default_threads`).
+//! `euphrates_common::par::default_threads`).
 
 use euphrates_common::image::LumaFrame;
 use euphrates_common::rngx;

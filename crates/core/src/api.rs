@@ -26,13 +26,13 @@
 //!   bit-identical by construction.
 
 use crate::backend::{charge_sequencer, controller, BackendConfig, TaskOutcome};
-use crate::eval::{default_threads, parallel_map};
 use crate::frontend::{FrameData, MotionConfig, PreparedCache, PreparedSequence};
 use crate::system::SystemModel;
 use euphrates_common::error::{Error, Result};
 use euphrates_common::geom::Rect;
 use euphrates_common::image::Resolution;
 use euphrates_common::metrics::IouAccumulator;
+use euphrates_common::par::{default_threads, parallel_map};
 use euphrates_common::units::Cycles;
 use euphrates_datasets::Sequence;
 use euphrates_mc::policy::FrameKind;

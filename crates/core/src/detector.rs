@@ -9,10 +9,10 @@
 //! precision-style AP (greedy IoU matching; unmatched boxes are false
 //! positives).
 
-use crate::api::{run_task, FrameContext, StepStats, VisionTask};
+use crate::api::{FrameContext, StepStats, VisionTask};
 use crate::backend::{extrapolate_roi, BackendConfig, TaskOutcome, TrackState};
-use crate::frontend::{FrameData, PreparedSequence};
-use euphrates_common::error::{Error, Result};
+use crate::frontend::FrameData;
+use euphrates_common::error::Result;
 use euphrates_common::geom::Rect;
 use euphrates_common::image::Resolution;
 use euphrates_common::metrics::match_detections;
@@ -23,11 +23,6 @@ use euphrates_nn::oracle::{DetectorOracle, DetectorProfile};
 #[derive(Debug, Clone)]
 struct Track {
     rect: Rect,
-    /// Class label carried from the originating detection (the paper's MC
-    /// registers store labels alongside ROIs; scoring is class-agnostic
-    /// per §5.2's IoU-only metric).
-    #[allow(dead_code)]
-    label: u32,
     state: TrackState,
 }
 
@@ -142,7 +137,6 @@ impl VisionTask for DetectorTask {
             }
             new_tracks.push(Track {
                 rect: det.rect.clamped_to(&ctx.bounds),
-                label: det.label,
                 state: filter,
             });
         }
@@ -193,31 +187,11 @@ impl VisionTask for DetectorTask {
     }
 }
 
-/// Runs the detection task over a prepared sequence.
-///
-/// # Errors
-///
-/// Returns an error for an empty sequence or an invalid policy.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run_task(DetectorTask::new(profile), ...)`, or the `Scenario`/`Session` API"
-)]
-pub fn run_detection(
-    prep: &PreparedSequence,
-    profile: DetectorProfile,
-    config: &BackendConfig,
-    stream: u64,
-) -> Result<TaskOutcome> {
-    if prep.is_empty() {
-        return Err(Error::config("cannot run detection on an empty sequence"));
-    }
-    run_task(DetectorTask::new(profile), prep, config, stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{prepare_sequence, MotionConfig};
+    use crate::api::run_task;
+    use crate::frontend::{prepare_sequence, MotionConfig, PreparedSequence};
     use euphrates_common::metrics::IouAccumulator;
     use euphrates_datasets::{detection_suite, DatasetScale};
     use euphrates_mc::policy::EwPolicy;
@@ -326,15 +300,5 @@ mod tests {
         // Predictions exist on E-frames: scored boxes far outnumber
         // inferences x objects.
         assert!(out.ious.len() as u64 > out.inferences * 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_detection_shim_matches_task_path() {
-        let prep = prepared(40);
-        let cfg = BackendConfig::new(EwPolicy::Constant(4));
-        let via_shim = run_detection(&prep, calib::yolov2(), &cfg, 1).unwrap();
-        let via_task = detect(&prep, calib::yolov2(), &cfg, 1).unwrap();
-        assert_eq!(via_shim, via_task);
     }
 }

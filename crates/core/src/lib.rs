@@ -5,6 +5,8 @@
 //!
 //! * [`api`] — the unified public API: the [`VisionTask`] trait, the
 //!   [`Scenario`] builder, and the streaming [`Session`].
+//!   [`Scenario::evaluate`] parallelizes the full *(sequence × scheme)*
+//!   grid over [`euphrates_common::par::parallel_map`].
 //! * [`frontend`] — the streaming frame front-end: camera/scene
 //!   rendering plus ISP block matching → per-frame ground truth and
 //!   motion fields, produced lazily by [`frame_source`] (O(1 frame) of
@@ -22,9 +24,6 @@
 //! * [`tracker`] / [`detector`] — the two evaluated tasks (§5.2): MDNet-
 //!   class single-object tracking and YOLOv2-class multi-object
 //!   detection, as [`VisionTask`] implementations.
-//! * [`eval`] — deterministic parallel evaluation plumbing;
-//!   [`Scenario::evaluate`] parallelizes the full *(sequence × scheme)*
-//!   grid over it.
 //! * [`system`] — the Table 1 platform model mapping inference rates to
 //!   SoC energy, FPS, and DRAM traffic.
 //!
@@ -121,14 +120,14 @@
 //! ## Environment
 //!
 //! * `EUPHRATES_THREADS` — overrides the evaluation worker-thread count
-//!   (positive integer, capped at 16; see [`eval::default_threads`]).
+//!   (positive integer, capped at 16; see
+//!   [`euphrates_common::par::default_threads`]).
 //!   Results are thread-count independent; the knob only controls
 //!   parallelism.
 
 pub mod api;
 pub mod backend;
 pub mod detector;
-pub mod eval;
 pub mod frontend;
 pub mod system;
 pub mod tracker;
@@ -138,19 +137,12 @@ pub use api::{
     SchemeId, SchemeResult, SchemeSpec, Session, SessionCheckpoint, StepStats, VisionTask,
 };
 pub use backend::{BackendConfig, TaskOutcome};
-#[allow(deprecated)]
-pub use detector::run_detection;
 pub use detector::DetectorTask;
-#[allow(deprecated)]
-pub use eval::evaluate_suite;
-pub use eval::{parallel_map, SuiteOutcome};
 pub use frontend::{
     frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedCache,
     PreparedSequence,
 };
 pub use system::SystemModel;
-#[allow(deprecated)]
-pub use tracker::run_tracking;
 pub use tracker::TrackerTask;
 
 /// Convenience re-exports for pipeline users.
@@ -160,19 +152,12 @@ pub mod prelude {
         SchemeId, SchemeResult, SchemeSpec, Session, SessionCheckpoint, StepStats, VisionTask,
     };
     pub use crate::backend::{BackendConfig, TaskOutcome};
-    #[allow(deprecated)]
-    pub use crate::detector::run_detection;
     pub use crate::detector::DetectorTask;
-    #[allow(deprecated)]
-    pub use crate::eval::evaluate_suite;
-    pub use crate::eval::SuiteOutcome;
     pub use crate::frontend::{
         frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedCache,
         PreparedSequence,
     };
     pub use crate::system::SystemModel;
-    #[allow(deprecated)]
-    pub use crate::tracker::run_tracking;
     pub use crate::tracker::TrackerTask;
     pub use euphrates_camera::noise::NoiseModelKind;
     pub use euphrates_datasets::{DatasetScale, Sequence, VisualAttribute};

@@ -11,6 +11,7 @@
 use euphrates_common::error::Result;
 use euphrates_common::image::Resolution;
 use euphrates_common::units::{Bytes, Picos};
+use euphrates_isp::motion::METADATA_BYTES_PER_BLOCK;
 use euphrates_mc::ip::McConfig;
 use euphrates_mc::policy::FrameKind;
 use euphrates_mc::sequencer::McSequencer;
@@ -74,8 +75,8 @@ impl SystemModel {
     /// Motion-vector metadata + MC result traffic per frame.
     pub fn metadata_traffic(&self) -> Bytes {
         let (bx, by) = self.capture.macroblocks(self.mb_size);
-        // 4 B/block of MV+confidence metadata plus ~1 KiB of results.
-        Bytes(u64::from(bx) * u64::from(by) * 4 + 1024)
+        // MV+confidence metadata per block plus ~1 KiB of results.
+        Bytes(u64::from(bx) * u64::from(by) * METADATA_BYTES_PER_BLOCK + 1024)
     }
 
     /// Per-frame MC busy time at the capture operating point (fetch,
@@ -193,6 +194,10 @@ mod tests {
         let sys = SystemModel::table1();
         let kb = sys.metadata_traffic().0 as f64 / 1024.0;
         assert!((8.0..64.0).contains(&kb), "metadata {kb} KiB");
+        // §4.2: piggybacking MVs on the frame buffer is nearly free — under
+        // 1 % of the 1080p pixel traffic.
+        let overhead = sys.metadata_traffic().0 as f64 / sys.streaming_traffic().0 as f64;
+        assert!(overhead < 0.01, "metadata overhead {overhead}");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! truth is empty (target fully out of view) are excluded from scoring
 //! but still advance the pipeline.
 
-use crate::api::{run_task, FrameContext, StepStats, VisionTask};
+use crate::api::{FrameContext, StepStats, VisionTask};
 use crate::backend::{extrapolate_roi, BackendConfig, TaskOutcome, TrackState};
-use crate::frontend::{FrameData, PreparedSequence};
+use crate::frontend::FrameData;
 use euphrates_common::error::{Error, Result};
 use euphrates_common::geom::Rect;
 use euphrates_common::image::Resolution;
@@ -165,35 +165,11 @@ impl VisionTask for TrackerTask {
     }
 }
 
-/// Runs the tracking task over a prepared sequence.
-///
-/// `stream` disambiguates oracle noise across sequences (pass a stable
-/// per-sequence index).
-///
-/// # Errors
-///
-/// Returns an error for an empty sequence, a sequence without a target in
-/// frame 0, or an invalid policy.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run_task(TrackerTask::new(profile), ...)`, or the `Scenario`/`Session` API"
-)]
-pub fn run_tracking(
-    prep: &PreparedSequence,
-    profile: TrackerProfile,
-    config: &BackendConfig,
-    stream: u64,
-) -> Result<TaskOutcome> {
-    if prep.is_empty() {
-        return Err(Error::config("cannot track an empty sequence"));
-    }
-    run_task(TrackerTask::new(profile), prep, config, stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{prepare_sequence, MotionConfig};
+    use crate::api::run_task;
+    use crate::frontend::{prepare_sequence, MotionConfig, PreparedSequence};
     use euphrates_common::metrics::IouAccumulator;
     use euphrates_datasets::{otb100_like, DatasetScale, VisualAttribute};
     use euphrates_mc::policy::{AdaptiveConfig, EwPolicy};
@@ -300,15 +276,5 @@ mod tests {
             frames: vec![],
         };
         assert!(track(&prep, &BackendConfig::baseline(), 0).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_tracking_shim_matches_task_path() {
-        let prep = prepared(VisualAttribute::ScaleVariation, 40);
-        let cfg = BackendConfig::new(EwPolicy::Constant(4));
-        let via_shim = run_tracking(&prep, calib::mdnet(), &cfg, 2).unwrap();
-        let via_task = track(&prep, &cfg, 2).unwrap();
-        assert_eq!(via_shim, via_task);
     }
 }

@@ -17,9 +17,8 @@
 //! * **Architectural** — [`linebuffer::TdSramModel`] models the
 //!   temporal-denoise SRAM with single vs. double buffering (the §4.2
 //!   design choice that keeps MV write-back off the ISP critical path),
-//!   [`dma`] accounts the frame-buffer and metadata traffic, and
-//!   [`power`] provides the calibrated ISP power (153 mW @1080p60 plus the
-//!   2.5 % motion-estimation overhead from §5.1).
+//!   and [`power`] provides the calibrated ISP power (153 mW @1080p60
+//!   plus the 2.5 % motion-estimation overhead from §5.1).
 //!
 //! ## Performance notes
 //!
@@ -72,7 +71,6 @@
 //! ```
 
 pub mod color;
-pub mod dma;
 pub mod interpolate;
 pub mod linebuffer;
 pub mod motion;

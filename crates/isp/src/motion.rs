@@ -928,6 +928,10 @@ impl MotionSearch for HierarchicalSearch {
 // MotionField
 // ---------------------------------------------------------------------------
 
+/// Bytes of frame-buffer metadata per macroblock: 1 byte per MV component
+/// (d ≤ 127) plus 2 bytes of SAD-derived confidence (§4.2).
+pub const METADATA_BYTES_PER_BLOCK: u64 = 4;
+
 /// Per-frame motion metadata: one [`MotionVector`] per macroblock.
 ///
 /// This is the data structure the augmented ISP writes into the frame
@@ -1079,11 +1083,12 @@ impl MotionField {
         })
     }
 
-    /// Bytes of frame-buffer metadata this field occupies: per block, 1 byte
-    /// per MV component (d ≤ 127) plus 2 bytes of SAD-derived confidence,
-    /// matching the §4.2 estimate of ~8 KB per 1080p frame for the MVs.
+    /// Bytes of frame-buffer metadata this field occupies
+    /// ([`METADATA_BYTES_PER_BLOCK`] per block): ~32 KB per 1080p frame at
+    /// 16-px blocks, the same order as §4.2's ~8 KB estimate for the MVs
+    /// alone at 1 B per MV.
     pub fn metadata_bytes(&self) -> Bytes {
-        Bytes(self.vectors.len() as u64 * 4)
+        Bytes(self.vectors.len() as u64 * METADATA_BYTES_PER_BLOCK)
     }
 
     /// Mean motion magnitude over all blocks (diagnostic).
